@@ -73,15 +73,13 @@ def sweep_spec(quick: bool, accesses: int = 0, seed: int = DEFAULT_SEED) -> dict
     }
 
 
-def run_sweep(spec: dict, repeats: int = 1, kernel: str = None) -> tuple:
+def run_sweep(spec: dict, repeats: int = 1) -> tuple:
     """Execute the sweep serially; returns ({job_label: measurement},
     {job_label: RunResult}).
 
     Trace generation is excluded from the timed region; with ``repeats > 1``
     the minimum wall time per job is kept (the least-noise estimate) after
-    checking that every repeat fingerprints identically. ``kernel``
-    selects the request-path engine; fingerprints are kernel-independent
-    by the dual-engine contract, so the gate applies unchanged. The config
+    checking that every repeat fingerprints identically. The config
     is always built through ``with_tenants`` - at the default 1 tenant this
     pins the equivalence the tenancy refactor promises: an explicit
     single-tenant partition reproduces the recorded fingerprints exactly.
@@ -105,7 +103,7 @@ def run_sweep(spec: dict, repeats: int = 1, kernel: str = None) -> tuple:
             fingerprint = None
             for _ in range(max(1, repeats)):
                 t0 = time.perf_counter()
-                result = run_model(config, trace, model, kernel=kernel)
+                result = run_model(config, trace, model)
                 wall = time.perf_counter() - t0
                 fp = result.fingerprint()
                 if fingerprint is None:
@@ -264,10 +262,6 @@ def main(argv=None) -> int:
                              "dir, i.e. $REPRO_CACHE_DIR or .salus-cache)")
     parser.add_argument("--no-ledger", action="store_true",
                         help="do not record the sweep in the run ledger")
-    parser.add_argument("--kernel", choices=("scalar", "batched", "auto"),
-                        default=None,
-                        help="request-path engine (default: $REPRO_KERNEL, "
-                             "then auto)")
     parser.add_argument("--tenants", type=int, default=1, metavar="T",
                         help="security domains (default 1; the CI gate runs "
                              "with an explicit 1-tenant partition). T != 1 "
@@ -276,9 +270,6 @@ def main(argv=None) -> int:
                              "collide with the recorded single-tenant ones")
     args = parser.parse_args(argv)
 
-    from repro.kernel import numpy_version, resolve_kernel
-
-    resolved_kernel = resolve_kernel(args.kernel)
     spec = sweep_spec(args.quick, accesses=args.accesses, seed=args.seed)
     if args.tenants != 1:
         spec["tenants"] = args.tenants
@@ -286,10 +277,10 @@ def main(argv=None) -> int:
     print(
         f"sweep '{spec['name']}': {len(spec['benches'])} benches x "
         f"{len(spec['models'])} models @ {spec['accesses']} accesses "
-        f"(seed {spec['seed']}, kernel {resolved_kernel}, "
+        f"(seed {spec['seed']}, "
         f"{args.tenants} tenant(s))"
     )
-    jobs, results = run_sweep(spec, repeats=args.repeats, kernel=resolved_kernel)
+    jobs, results = run_sweep(spec, repeats=args.repeats)
     summary = summarize(spec, jobs)
     print(
         f"total: {summary['total_wall_s']:.2f}s for "
@@ -319,8 +310,6 @@ def main(argv=None) -> int:
             "label": args.record,
             "recorded": time.strftime("%Y-%m-%d"),
             "python": platform.python_version(),
-            "kernel": resolved_kernel,
-            "numpy": numpy_version(),
             "summary": summary,
             "jobs": jobs,
         }

@@ -262,40 +262,6 @@ class ShardMap:
             return page // self.num_devices
         return page - self.home_of_page(page) * self._range_span
 
-    # -- batch queries (shift/mask array ops over whole page vectors) --------
-    def home_of_pages(self, pages):
-        """Vectorized :meth:`home_of_page` over an int array of pages.
-
-        Returns an int64 numpy array; element ``i`` equals
-        ``home_of_page(pages[i])`` exactly (same totality, same clipping of
-        the short last range). Requires numpy.
-        """
-        from .kernel import require_numpy
-
-        np = require_numpy()
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size and int(pages.min()) < 0:
-            raise AddressError(f"negative page {int(pages.min())}")
-        if self.num_devices == 1:
-            return np.zeros_like(pages)
-        if self.policy == "page":
-            return pages % self.num_devices
-        return np.minimum(pages // self._range_span, self.num_devices - 1)
-
-    def local_pages(self, pages):
-        """Vectorized :meth:`local_page` over an int array of pages."""
-        from .kernel import require_numpy
-
-        np = require_numpy()
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size and int(pages.min()) < 0:
-            raise AddressError(f"negative page {int(pages.min())}")
-        if self.num_devices == 1:
-            return pages.copy()
-        if self.policy == "page":
-            return pages // self.num_devices
-        return pages - self.home_of_pages(pages) * self._range_span
-
     # -- sizing --------------------------------------------------------------
     def pages_on(self, device: int, total_pages: int = 0) -> int:
         """How many of ``total_pages`` CXL pages are homed on ``device``.
@@ -384,18 +350,6 @@ class TenantMap:
             return 0
         tenant = page // self.page_span
         return tenant if tenant < self.num_tenants else self.num_tenants - 1
-
-    def tenant_of_pages(self, pages):
-        """Vectorized :meth:`tenant_of_page` over an int array of pages."""
-        from .kernel import require_numpy
-
-        np = require_numpy()
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size and int(pages.min()) < 0:
-            raise AddressError(f"negative page {int(pages.min())}")
-        if self.num_tenants == 1:
-            return np.zeros_like(pages)
-        return np.minimum(pages // self.page_span, self.num_tenants - 1)
 
     def page_base(self, tenant: int) -> int:
         """First CXL page of one tenant's span."""

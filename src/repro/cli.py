@@ -139,12 +139,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "every tenant runs the benchmark (mirror, "
                              "default), or tenants 1+ run a bandwidth-"
                              "hammering variant (noisy neighbor)")
-    parser.add_argument("--kernel", choices=("scalar", "batched", "auto"),
-                        default=None,
-                        help="request-path engine: scalar reference loop or "
-                             "epoch-batched numpy kernel; results are "
-                             "bit-identical (default: $REPRO_KERNEL, then "
-                             "auto = batched when numpy is available)")
 
 
 def _add_engine(parser: argparse.ArgumentParser) -> None:
@@ -231,7 +225,6 @@ def _build_engine(args: argparse.Namespace, total: Optional[int] = None):
         trace_dir=trace_dir,
         progress=_progress_sink(args, total=total),
         ledger=ledger,
-        kernel=getattr(args, "kernel", None),
     )
 
 
@@ -269,8 +262,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         # they run directly, in-process.
         trace = load_trace(args.trace_file)
         results = {
-            m: run_model(config, trace, m, kernel=args.kernel)
-            for m in args.models
+            m: run_model(config, trace, m) for m in args.models
         }
     else:
         tenants = getattr(args, "tenants", None) or 1
@@ -364,8 +356,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .sim.trace import Tracer
 
     tracer = Tracer(capacity=args.trace_events)
-    result = run_model(config, trace, args.model, tracer=tracer,
-                       kernel=args.kernel)
+    result = run_model(config, trace, args.model, tracer=tracer)
     path = tracer.write(args.trace_out)
     print(
         f"{args.benchmark}/{args.model}: ipc={result.ipc:.4f}, "
@@ -597,23 +588,11 @@ def cmd_perf(args: argparse.Namespace) -> int:
     a result-fingerprint mismatch is behaviour drift (exit 1); a per-job
     wall time beyond ``--threshold`` times the recorded one is flagged as a
     perf regression (exit 1 too - raise the threshold or re-record).
-
-    ``--compare KERNEL KERNEL`` switches to the dual-kernel mode instead:
-    the quick subset runs under both request-path kernels and every job's
-    fingerprints must match (the live dual-engine contract check).
     """
     import json
     from pathlib import Path
 
     from .harness.ledger import RunLedger
-
-    if args.compare:
-        from .harness.compare import run_compare
-
-        return run_compare(
-            args.compare[0], args.compare[1],
-            accesses=args.compare_accesses, seed=args.compare_seed,
-        )
 
     path = Path(args.file)
     try:
@@ -742,7 +721,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=max(1, args.workers),
         queue_depth=args.queue_depth,
         cache_dir=cache_dir,
-        kernel=args.kernel,
         ledger=ledger,
         execution=args.execution,
         eviction=CacheEvictionPolicy(
@@ -885,18 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.add_argument("--cache-dir", default=default_cache_dir(),
                         help="cache directory holding ledger.jsonl "
                              "(default .salus-cache)")
-    p_perf.add_argument("--compare", nargs=2, default=None,
-                        metavar=("KERNEL", "KERNEL"),
-                        help="instead: run the quick subset under two "
-                             "request-path kernels (scalar/batched/auto), "
-                             "report per-job speedup, and exit 1 unless "
-                             "every fingerprint matches")
-    p_perf.add_argument("--compare-accesses", type=int, default=2_000,
-                        metavar="N",
-                        help="trace length per job in --compare mode "
-                             "(default 2000, the quick-sweep size)")
-    p_perf.add_argument("--compare-seed", type=int, default=7,
-                        help="trace seed in --compare mode (default 7)")
     p_perf.set_defaults(func=cmd_perf)
 
     p_serve = sub.add_parser(
@@ -920,10 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="serve without a persistent cache or ledger")
     p_serve.add_argument("--no-ledger", action="store_true",
                          help="keep the cache but skip ledger recording")
-    p_serve.add_argument("--kernel", choices=("scalar", "batched", "auto"),
-                         default=None,
-                         help="request-path engine for served simulations "
-                              "(default: $REPRO_KERNEL, then auto)")
     p_serve.add_argument("--execution", choices=("thread", "process", "auto"),
                          default="thread",
                          help="worker execution mode: threads (default), "

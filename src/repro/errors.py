@@ -52,8 +52,8 @@ class TraceError(ReproError):
 class IsolationError(TraceError):
     """A request crossed its tenant's partition boundary.
 
-    Raised by both execution kernels when a trace record addresses a page
-    outside the issuing tenant's memory partition. Subclassing
+    Raised by the request loop (``GpuSim.run``) when a trace record
+    addresses a page outside the issuing tenant's memory partition. Subclassing
     :class:`TraceError` keeps existing trace-validation handlers working
     while letting multi-tenant callers treat the violation as attack
     evidence.

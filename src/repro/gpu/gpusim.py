@@ -28,8 +28,9 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 from ..config import SystemConfig
 from ..cxl.mapping import MappingTable
 from ..cxl.mapping_cache import MappingMissHandler
+from ..errors import IsolationError, TraceError
 from ..memsys.l2cache import L2Slice
-from ..memsys.request import MemoryRequest
+from ..memsys.request import Access, MemoryRequest
 from ..migration.dirty import DirtyTracker
 from ..migration.engine import MigrationEngine
 from ..migration.page_cache import PageCache
@@ -353,19 +354,6 @@ class GpuSim:
         return self.model.evict(now, page, frame, dirty_chunks, page_dirty)
 
     # ------------------------------------------------------------------ translation
-    def _translate(self, now: int, gpc: int, page: int) -> Tuple[int, int]:
-        """Mapping-cache lookup + residency guarantee.
-
-        Returns ``(frame, ready_cycle)`` - the device frame and when both the
-        translation and the page's data are usable.
-        """
-        cache = self.miss_handler.cache_for(gpc)
-        cached_frame = cache.lookup(page)
-        if cached_frame is not None:
-            frame, fill_ready = self.engine.ensure_resident(now, page)
-            return frame, max(now + MAPPING_HIT_CYCLES, fill_ready)
-        return self._translate_miss(now, gpc, page)
-
     def _translate_miss(self, now: int, gpc: int, page: int) -> Tuple[int, int]:
         """Mapping-cache miss: the control logic reads the mapping sector
         from device memory and, if the page is absent, starts the copy
@@ -446,31 +434,195 @@ class GpuSim:
         requests: Iterable[MemoryRequest],
         compute_per_mem: int = 0,
         workload_name: str = "trace",
-        kernel: Optional[str] = None,
     ) -> RunResult:
         """Process a trace to completion and return the collected results.
 
-        ``kernel`` selects the request-path engine (``scalar``, ``batched``
-        or ``auto``); ``None`` defers to ``REPRO_KERNEL`` and then the
-        ``auto`` default. Both engines are bound by the dual-engine
-        contract: the returned :class:`RunResult` (and hence its
-        fingerprint) is bit-identical either way.
+        Requests run one at a time, in trace order. Each is checked before
+        it issues: an address outside the footprint raises
+        :class:`TraceError`; on a partitioned fabric (``num_tenants > 1``) a
+        tenant id outside the partition, or an address in another tenant's
+        page span, raises :class:`IsolationError`. Every earlier request has
+        then fully run, and the SM and interconnect tallies show it.
+
+        The common cases of the walk are inlined here, each making exactly
+        the transitions (clocks, hit/miss tallies, LRU order) of the method
+        it stands for:
+
+        * SM issue and completion (:class:`StreamingMultiprocessor`);
+        * a mapping-cache hit on a resident page with no fill in flight
+          (``MappingCache.lookup`` plus ``MigrationEngine.ensure_resident``);
+        * the interconnect traverse (``Interconnect.traverse``);
+        * an L2 read that hits its sector, and an L2 write to a present line
+          (``_access_memory``).
+
+        Everything else falls through to the methods: a mapping miss to
+        :meth:`_translate_miss`, a hit on a page that is absent or still
+        filling to ``ensure_resident``, and every other L2 case - misses,
+        MSHR merges, evictions, chunk-granularity fills - to
+        :meth:`_access_memory`.
         """
-        from ..kernel import resolve_kernel
+        gpu = self.config.gpu
+        fabric = self.fabric
+        block = 1 + max(0, compute_per_mem)
+        page_bytes = self._page_bytes
+        footprint_bytes = fabric.footprint_pages * page_bytes
+        page_shift = page_bytes.bit_length() - 1
+        block_shift = self._block_bytes.bit_length() - 1
+        sector_shift = self._sector_bytes.bit_length() - 1
+        block_mask = (page_bytes >> block_shift) - 1
+        sector_mask = (self._block_bytes >> sector_shift) - 1
+        l2_lat = self._l2_latency
+        hit_lat = MAPPING_HIT_CYCLES
+        num_sms = gpu.num_sms
+        sms_per_gpc = gpu.sms_per_gpc
+        warps = gpu.warps_per_sm
+        tmap = fabric.tenant_map
+        chunk_mode = self._chunk_mode
+        write_access = Access.WRITE
+        # Pre-bound state. Every container is mutated in place by the
+        # fallback methods, never rebound, so holding references is safe.
+        sms = self.sms
+        map_caches = self.miss_handler.caches
+        map_lrus = [cache._lru for cache in map_caches]
+        pc_frames = self.page_cache._page_to_frame
+        pc_on_access = self.page_cache._policy.on_access
+        inflight_fills = self.engine._inflight_fills
+        ensure_resident = self.engine.ensure_resident
+        translate_miss = self._translate_miss
+        interconnect = self.interconnect
+        port_free = interconnect._port_free
+        ic_lat = interconnect.latency_cycles
+        loc_get = fabric._loc_cache.get
+        locate = fabric.locate
+        num_frames = fabric.num_frames
+        l2_caches = [slice_.cache for slice_ in self.l2]
+        on_store = self.model.on_store
+        access_memory = self._access_memory
+        sample_queue = self._sample_queue
+        tracer = self.tracer
+        tracing = tracer.enabled
 
-        engine = resolve_kernel(kernel)
-        if engine == "batched":
-            from ..kernel.batched import run_batched
+        now = self._now
+        traversed = 0
+        try:
+            for req in requests:
+                addr = req.cxl_addr
+                if not 0 <= addr < footprint_bytes:
+                    raise TraceError(
+                        f"trace address {addr:#x} outside footprint "
+                        f"of {footprint_bytes} bytes"
+                    )
+                page = addr >> page_shift
+                if tmap is None:
+                    smx = req.sm % num_sms
+                else:
+                    ten = req.tenant
+                    if not 0 <= ten < tmap.num_tenants:
+                        raise IsolationError(
+                            f"request tenant {ten} outside partition of "
+                            f"{tmap.num_tenants} tenants"
+                        )
+                    owner = tmap.tenant_of_page(page)
+                    if owner != ten:
+                        raise IsolationError(
+                            f"tenant {ten} request for address {addr:#x} "
+                            f"crosses into tenant {owner}'s pages"
+                        )
+                    smx = tmap.sm_slot(ten, req.sm)
+                is_write = req.access is write_access
 
-            run_batched(self, requests, compute_per_mem)
-        else:
-            from ..kernel.scalar import run_scalar
+                # SM issue.
+                sm = sms[smx]
+                warp = req.warp % warps
+                warp_ready = sm.warp_ready
+                clock = sm.clock
+                warp_free = warp_ready[warp]
+                t_issue = clock if clock >= warp_free else warp_free
+                sm.clock = t_issue + block
+                sm.instructions += block
+                if t_issue > now:
+                    now = t_issue
+                    if sample_queue is not None and now > sample_queue.now:
+                        self._now = now
+                        sample_queue.run(until=now)
 
-            run_scalar(self, requests, compute_per_mem)
+                # Translate: mapping-cache hit on a resident page.
+                gpc = smx // sms_per_gpc
+                mlru = map_lrus[gpc]
+                if page in mlru:
+                    map_caches[gpc].hits += 1
+                    mlru.move_to_end(page)
+                    frame = pc_frames.get(page)
+                    ready = t_issue + hit_lat
+                    if frame is not None and page not in inflight_fills:
+                        pc_on_access(page)
+                    else:
+                        frame, fill_ready = ensure_resident(t_issue, page)
+                        if fill_ready > ready:
+                            ready = fill_ready
+                else:
+                    map_caches[gpc].misses += 1
+                    frame, ready = translate_miss(t_issue, gpc, page)
+
+                # Interconnect traverse.
+                port = port_free[gpc]
+                start = ready if ready >= port else port
+                port_free[gpc] = start + 1
+                traversed += 1
+                t_mem = start + ic_lat
+
+                # L2: sector hit on a read, write to a present line.
+                if chunk_mode:
+                    completion = access_memory(t_mem, addr, is_write, frame)
+                else:
+                    loc = loc_get(addr * num_frames + frame)
+                    if loc is None:
+                        loc = locate(addr, frame)
+                    cache = l2_caches[loc.channel]
+                    line_addr = (page, (addr >> block_shift) & block_mask)
+                    cache_set = cache._set_lookup.get(line_addr)
+                    if cache_set is None:
+                        cache_set = cache._set_for(line_addr)
+                    line = cache_set.get(line_addr)
+                    bit = 1 << ((addr >> sector_shift) & sector_mask)
+                    if line is None:
+                        completion = access_memory(t_mem, addr, is_write, frame)
+                    elif is_write:
+                        on_store(t_mem, loc)
+                        cache_set.move_to_end(line_addr)
+                        if line.valid_mask & bit:
+                            cache.hits += 1
+                        else:
+                            line.valid_mask |= bit
+                            cache.misses += 1
+                        line.dirty_mask |= bit
+                        completion = t_mem + l2_lat
+                    elif line.valid_mask & bit:
+                        cache_set.move_to_end(line_addr)
+                        cache.hits += 1
+                        completion = t_mem + l2_lat
+                    else:
+                        completion = access_memory(t_mem, addr, False, frame)
+
+                # Warp completion.
+                if completion > warp_ready[warp]:
+                    warp_ready[warp] = completion
+                if tracing:
+                    args = {"addr": addr, "warp": warp}
+                    if tmap is not None:
+                        args["tenant"] = req.tenant
+                    tracer.span(
+                        f"sm{sm.sm_id}", "write" if is_write else "read",
+                        t_issue, completion - t_issue, cat="request",
+                        args=args,
+                    )
+        finally:
+            interconnect.requests += traversed
+            self._now = now
         return self._finish(workload_name)
 
     def _finish(self, workload_name: str) -> RunResult:
-        """Shared post-loop tail: drain, finalize the model, collect stats."""
+        """Post-loop tail: drain, finalize the model, collect stats."""
         final = max((sm.drain_cycle for sm in self.sms), default=0)
         if self._sample_queue is not None:
             # Flush outstanding epoch samples up to the drain cycle, then a

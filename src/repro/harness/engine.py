@@ -173,20 +173,11 @@ class SimJob:
         tracer=None,
         progress=None,
         progress_epoch: int = DEFAULT_PROGRESS_EPOCH,
-        kernel: Optional[str] = None,
     ) -> RunResult:
-        """Run the simulation (in whatever process this is called from).
-
-        ``kernel`` picks the request-path engine. It is deliberately NOT
-        part of :meth:`fingerprint`: the dual-engine contract makes both
-        kernels produce bit-identical results, so they share one cache
-        slot (a batched run can be served by a scalar-produced entry and
-        vice versa).
-        """
+        """Run the simulation (in whatever process this is called from)."""
         return run_model(
             self.config, self.trace.build(self.config), self.model,
             tracer=tracer, progress=progress, progress_epoch=progress_epoch,
-            kernel=kernel,
         )
 
     def trace_filename(self) -> str:
@@ -383,7 +374,6 @@ def _execute_job(
     trace_path: Optional[str] = None,
     progress_events=None,
     progress_epoch: int = DEFAULT_PROGRESS_EPOCH,
-    kernel: Optional[str] = None,
 ) -> Tuple[bool, object, float]:
     """Worker entry point: run one job, never raise.
 
@@ -416,18 +406,17 @@ def _execute_job(
 
             tracer = Tracer()
             result = job.execute(tracer=tracer, progress=progress,
-                                 progress_epoch=progress_epoch, kernel=kernel)
+                                 progress_epoch=progress_epoch)
             tracer.write(trace_path)
             return True, result, time.perf_counter() - started
-        result = job.execute(progress=progress, progress_epoch=progress_epoch,
-                             kernel=kernel)
+        result = job.execute(progress=progress, progress_epoch=progress_epoch)
         return True, result, time.perf_counter() - started
     except Exception:
         return False, traceback.format_exc(), time.perf_counter() - started
 
 
 def _execute_job_entry(
-    item: Tuple[SimJob, Optional[str], object, int, Optional[str]]
+    item: Tuple[SimJob, Optional[str], object, int]
 ) -> Tuple[bool, object, float]:
     """Picklable star-apply wrapper for :func:`_execute_job` (pool.map)."""
     return _execute_job(*item)
@@ -474,15 +463,10 @@ class ExperimentEngine:
         progress: Optional[Callable[[Dict], None]] = None,
         progress_epoch: int = DEFAULT_PROGRESS_EPOCH,
         ledger: Optional[bool] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         if jobs < 1:
             raise EngineError(f"worker count must be >= 1, got {jobs}")
         self.workers = int(jobs)
-        # Request-path engine for executed jobs. Not part of cache keys:
-        # both kernels are fingerprint-identical by contract, so results
-        # are interchangeable across kernels.
-        self.kernel = kernel
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_dir) if (use_cache and cache_dir is not None) else None
         )
@@ -642,7 +626,6 @@ class ExperimentEngine:
         for job in pending:
             outcome = _execute_job(
                 job, self._trace_path_for(job), sink, self.progress_epoch,
-                self.kernel,
             )
             self._emit_done(job.label(), outcome[0], "run", outcome[2])
             results.append(outcome)
@@ -665,8 +648,7 @@ class ExperimentEngine:
                 events = manager.Queue()
                 drainer = _QueueDrainer(events, self.progress)
             items = [
-                (job, self._trace_path_for(job), events, self.progress_epoch,
-                 self.kernel)
+                (job, self._trace_path_for(job), events, self.progress_epoch)
                 for job in pending
             ]
             workers = min(self.workers, len(pending))

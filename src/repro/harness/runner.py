@@ -81,7 +81,6 @@ def run_model(
     tracer=None,
     progress: Optional[Callable[[Dict], None]] = None,
     progress_epoch: int = DEFAULT_PROGRESS_EPOCH,
-    kernel: Optional[str] = None,
 ) -> RunResult:
     """Simulate ``trace`` on ``config`` under the named security model.
 
@@ -89,9 +88,7 @@ def run_model(
     structured event timeline; it never alters simulated timing.
     ``progress`` (optional) receives a snapshot dict every
     ``progress_epoch`` simulated cycles - the live-telemetry heartbeat;
-    like the tracer it observes and never books. ``kernel`` selects the
-    request-path engine (``scalar``/``batched``/``auto``); by the
-    dual-engine contract the result is bit-identical either way.
+    like the tracer it observes and never books.
     """
     sim = GpuSim(
         config=config,
@@ -105,7 +102,6 @@ def run_model(
         trace,
         compute_per_mem=trace.compute_per_mem,
         workload_name=trace.name,
-        kernel=kernel,
     )
     # Preserve the model *name* as requested (variants share class names).
     result.model = model

@@ -1,100 +1,12 @@
-"""Kernel backend selection: the scalar/batched dual-engine seam.
+"""Name of the simulator's request path, for tools that label their runs.
 
-The simulator has two interchangeable request-path engines:
-
-``scalar``
-    The reference oracle - the original per-request Python dispatch loop,
-    moved verbatim into :mod:`repro.kernel.scalar`. Runs everywhere,
-    requires nothing beyond the standard library.
-
-``batched``
-    The epoch-vectorized engine (:mod:`repro.kernel.batched`): per-epoch
-    numpy precomputation of all static address arithmetic plus a fused
-    dispatch loop that inlines the hot-path fast cases and falls back to
-    the scalar machinery for the serialization-sensitive tail (misses,
-    evictions, migration boundaries, chunk mode). Requires numpy.
-
-Both engines are bound by the *dual-engine contract* (see
-ARCHITECTURE.md): for any trace and configuration they must produce
-bit-identical :class:`~repro.gpu.gpusim.RunResult` trees, so their
-sha-256 fingerprints - and therefore the recorded ``BENCH_perf.json``
-trajectory, the result cache, and the run ledger - agree exactly.
-
-Selection precedence: an explicit ``--kernel``/API argument beats the
-``REPRO_KERNEL`` environment variable beats the default (``auto``).
-``auto`` resolves to ``batched`` when numpy imports, else ``scalar``.
-The chosen kernel never enters any fingerprint: identical results by
-contract means both backends hit the same cache and ledger entries.
+The request path is the single loop in :meth:`repro.gpu.gpusim.GpuSim.run`.
+This module survives only because the benchmark (``perfbench/bench.py``)
+imports :func:`resolve_kernel` to label its reports with the engine it
+ran.
 """
 
-from __future__ import annotations
 
-import os
-from typing import Optional, Tuple
-
-from ..errors import ConfigError
-
-#: Accepted names for ``--kernel`` / ``REPRO_KERNEL``.
-KERNEL_NAMES: Tuple[str, ...] = ("scalar", "batched", "auto")
-
-#: Environment variable consulted when no explicit kernel is given.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-DEFAULT_KERNEL = "auto"
-
-_NUMPY = None
-_NUMPY_PROBED = False
-
-
-def numpy_or_none():
-    """Return the numpy module if importable, else ``None`` (memoized)."""
-    global _NUMPY, _NUMPY_PROBED
-    if not _NUMPY_PROBED:
-        try:
-            import numpy  # noqa: F401 - probing availability
-        except ImportError:
-            _NUMPY = None
-        else:
-            _NUMPY = numpy
-        _NUMPY_PROBED = True
-    return _NUMPY
-
-
-def require_numpy():
-    """Return numpy or raise a :class:`ConfigError` naming the fallback."""
-    np = numpy_or_none()
-    if np is None:
-        raise ConfigError(
-            "the batched kernel requires numpy; install it or select "
-            "--kernel scalar (REPRO_KERNEL=scalar)"
-        )
-    return np
-
-
-def numpy_version() -> Optional[str]:
-    """numpy's version string, or ``None`` when numpy is unavailable."""
-    np = numpy_or_none()
-    return None if np is None else str(np.__version__)
-
-
-def resolve_kernel(choice: Optional[str] = None) -> str:
-    """Resolve a kernel request to a concrete engine name.
-
-    ``choice`` (e.g. a ``--kernel`` flag) wins over ``REPRO_KERNEL``,
-    which wins over the ``auto`` default. Returns ``"scalar"`` or
-    ``"batched"``; raises :class:`ConfigError` on unknown names or when
-    ``batched`` is demanded without numpy present.
-    """
-    name = choice if choice is not None else os.environ.get(KERNEL_ENV_VAR)
-    if name is None or name == "":
-        name = DEFAULT_KERNEL
-    name = str(name).strip().lower()
-    if name not in KERNEL_NAMES:
-        raise ConfigError(
-            f"unknown kernel {name!r}; expected one of {', '.join(KERNEL_NAMES)}"
-        )
-    if name == "auto":
-        return "batched" if numpy_or_none() is not None else "scalar"
-    if name == "batched":
-        require_numpy()
-    return name
+def resolve_kernel(choice=None) -> str:
+    """The request path every run takes: always ``"scalar"``."""
+    return "scalar"

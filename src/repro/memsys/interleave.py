@@ -64,26 +64,6 @@ class Interleaver:
             loc = self._loc_cache[global_chunk] = (channel, local_slot)
         return loc
 
-    def device_chunk_locations(self, frames, chunks_in_page):
-        """Vectorized :meth:`device_chunk_location` over parallel int arrays.
-
-        Returns ``(channels, local_slots)`` as int64 numpy arrays computed
-        with the same round-robin arithmetic; the scalar memo table is
-        untouched. Requires numpy.
-        """
-        from ..kernel import require_numpy
-
-        np = require_numpy()
-        frames = np.asarray(frames, dtype=np.int64)
-        chunks = np.asarray(chunks_in_page, dtype=np.int64)
-        cpp = self.geometry.chunks_per_page
-        if frames.size and int(frames.min()) < 0:
-            raise AddressError(f"negative frame {int(frames.min())}")
-        if chunks.size and (int(chunks.min()) < 0 or int(chunks.max()) >= cpp):
-            raise AddressError(f"chunk_in_page outside page of {cpp} chunks")
-        global_chunks = frames * cpp + chunks
-        return global_chunks % self.num_channels, global_chunks // self.num_channels
-
     def device_sector_location(self, frame: int, sector_in_page: int) -> Tuple[int, int]:
         """Map (frame, sector index) to (channel, local sector slot)."""
         spc = self.geometry.sectors_per_chunk

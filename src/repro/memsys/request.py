@@ -25,8 +25,8 @@ class MemoryRequest:
     already aligned to a sector by the trace layer. ``sm`` and ``warp``
     identify the issuing context for latency-hiding bookkeeping. ``tenant``
     names the security domain that issued the request; under partitioning
-    the kernels treat ``sm`` as a tenant-local hint and enforce that the
-    address lies inside the tenant's page span.
+    the request loop treats ``sm`` as a tenant-local hint and enforces that
+    the address lies inside the tenant's page span.
     """
 
     cxl_addr: int

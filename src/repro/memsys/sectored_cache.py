@@ -197,30 +197,6 @@ class SectoredCache:
         line = self._set_for(line_addr).get(line_addr)
         return line is not None and bool(line.valid_mask & (1 << sector))
 
-    def probe_batch(self, line_addrs, sectors):
-        """Batch :meth:`probe` over parallel line/sector sequences.
-
-        Returns a numpy bool array; like ``probe`` this never touches LRU
-        state or hit/miss tallies, so it is safe to interleave with live
-        accesses (the batched kernel and tooling use it as the read-only
-        tag-probe face of the cache). Requires numpy.
-        """
-        from ..kernel import require_numpy
-
-        np = require_numpy()
-        n = len(line_addrs)
-        out = np.zeros(n, dtype=bool)
-        set_for = self._set_for
-        spl = self.sectors_per_line
-        for i in range(n):
-            sector = sectors[i]
-            if not 0 <= sector < spl:
-                self._check_sector(sector)
-            line_addr = line_addrs[i]
-            line = set_for(line_addr).get(line_addr)
-            out[i] = line is not None and bool(line.valid_mask & (1 << sector))
-        return out
-
     def line_payload(self, line_addr: Hashable) -> object:
         """The opaque annotation stored with a resident line (None if absent)."""
         line = self._set_for(line_addr).get(line_addr)

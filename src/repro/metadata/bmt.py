@@ -51,9 +51,6 @@ class BMTGeometry:
     _step_cache: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    _table_cache: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         if self.num_leaves <= 0:
@@ -147,47 +144,6 @@ class BMTGeometry:
         )
         self._step_cache[leaf_index] = steps
         return steps
-
-    def node_ordinals(self, levels, indices):
-        """Vectorized :meth:`node_ordinal` over parallel int arrays."""
-        from ..kernel import require_numpy
-
-        np = require_numpy()
-        levels = np.asarray(levels, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        if levels.size:
-            if int(levels.min()) < 1 or int(levels.max()) > self.depth:
-                raise ConfigError(
-                    f"levels outside internal levels 1..{self.depth}"
-                )
-            nodes_at = np.asarray(self._nodes_at, dtype=np.int64)[levels]
-            if int(indices.min()) < 0 or bool((indices >= nodes_at).any()):
-                raise ConfigError("index outside its level")
-        offsets = np.asarray(self._ordinal_offsets, dtype=np.int64)
-        return offsets[levels] + indices
-
-    def path_table(self):
-        """All leaves' walk ordinals as one ``(num_leaves, depth-1)`` table.
-
-        Row ``L`` holds the node ordinals :meth:`path` visits for leaf
-        ``L``, bottom level first - every walk has exactly ``depth - 1``
-        internal nodes, so the table is dense. Built once per geometry with
-        pure shift/divide array ops; requires numpy.
-        """
-        table = self._table_cache.get("path")
-        if table is None:
-            from ..kernel import require_numpy
-
-            np = require_numpy()
-            width = max(0, self.depth - 1)
-            table = np.empty((self.num_leaves, width), dtype=np.int64)
-            index = np.arange(self.num_leaves, dtype=np.int64)
-            for lv in range(1, self.depth):
-                index = index // self.arity
-                table[:, lv - 1] = self._ordinal_offsets[lv] + index
-            self._table_cache["path"] = table
-        return table
-
 
 class BonsaiMerkleTree:
     """Functional hash tree over counter-sector payloads.

@@ -56,25 +56,6 @@ class MetadataCaches:
             ),
         )
 
-    def probe_units(self, kind: str, units):
-        """Batch tag probe: which 32 B metadata units are resident.
-
-        ``kind`` selects the counter/mac/bmt cache; ``units`` is any int
-        sequence of abstract unit indices (the same ``unit // 4`` line /
-        ``unit % 4`` slot carving ``metadata_access`` uses). Read-only - no
-        LRU movement, no tallies - so tooling and the batched kernel can
-        inspect cache state mid-run without perturbing it. Returns a numpy
-        bool array; requires numpy.
-        """
-        from ..kernel import require_numpy
-
-        np = require_numpy()
-        cache = getattr(self, kind, None)
-        if not isinstance(cache, SectoredCache):
-            raise KeyError(f"unknown metadata cache kind {kind!r}")
-        units = np.asarray(units, dtype=np.int64)
-        return cache.probe_batch((units // 4).tolist(), (units % 4).tolist())
-
     def hit_rates(self) -> dict:
         return {
             "counter": self.counter.hit_rate,

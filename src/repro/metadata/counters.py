@@ -113,17 +113,6 @@ class ConventionalSplitCounterStore:
         """Which counter sector (group) covers a local data sector."""
         return sector // self.minors_per_major
 
-    def group_indices(self, sectors):
-        """Vectorized :meth:`group_index` over an int array of sectors.
-
-        Pure address arithmetic - the batch face of the counter-unit lookup
-        the baseline model issues per access. Requires numpy.
-        """
-        from ..kernel import require_numpy
-
-        np = require_numpy()
-        return np.asarray(sectors, dtype=np.int64) // self.minors_per_major
-
     def read(self, sector: int) -> CounterPair:
         group, within = self._group(sector)
         return CounterPair(major=group.major, minor=group.minors[within])
@@ -327,27 +316,6 @@ class CollapsedCounterStore:
     def chunk_epoch(self, page: int, chunk_in_page: int) -> int:
         state = self._page(page)
         return (state.major << self.minor_bits) | state.minors[chunk_in_page]
-
-    def chunk_epochs(self, pages, chunks_in_page):
-        """Batch :meth:`chunk_epoch` over parallel page/chunk arrays.
-
-        Returns an int64 numpy array of epochs; untouched pages read as
-        epoch 0 without materializing state (the sparse store stays
-        sparse). Requires numpy.
-        """
-        from ..kernel import require_numpy
-
-        np = require_numpy()
-        pages = np.asarray(pages, dtype=np.int64)
-        chunks = np.asarray(chunks_in_page, dtype=np.int64)
-        out = np.zeros(pages.shape, dtype=np.int64)
-        stored = self._pages
-        shift = self.minor_bits
-        for i, (page, chunk) in enumerate(zip(pages.tolist(), chunks.tolist())):
-            state = stored.get(page)
-            if state is not None:
-                out[i] = (state.major << shift) | state.minors[chunk]
-        return out
 
     def read(self, page: int, chunk_in_page: int) -> CounterPair:
         """The pair used for CXL-resident ciphertext: (epoch, 0)."""

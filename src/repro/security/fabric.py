@@ -232,24 +232,13 @@ class MemoryFabric:
         # inputs into one int (frame < num_frames) to keep lookups cheap.
         self._loc_cache: dict = {}
         self._single_device = topology.num_devices == 1
-        # Page -> (home device, device-local page) lookup tables over the
-        # whole footprint. Multi-tenant fabrics always build them (above,
-        # from the per-tenant shard maps - the plane-local index is not a
-        # global-shard function). Single-tenant multi-device fabrics build
-        # them in one vectorized shot with the ShardMap batch queries when
-        # numpy is present; otherwise the scalar arithmetic answers
-        # directly.
+        # Page -> (home device, plane-local page) lookup tables exist only
+        # on multi-tenant fabrics (built above from the per-tenant shard
+        # maps: the plane-local index is not a global-shard function). The
+        # single-tenant fabric answers with the ShardMap arithmetic.
         if self.tenant_map is None:
             self._home_by_page: Optional[List[int]] = None
             self._local_by_page: Optional[List[int]] = None
-            if not self._single_device:
-                from ..kernel import numpy_or_none
-
-                np = numpy_or_none()
-                if np is not None:
-                    pages = np.arange(footprint_pages, dtype=np.int64)
-                    self._home_by_page = self.shard.home_of_pages(pages).tolist()
-                    self._local_by_page = self.shard.local_pages(pages).tolist()
 
     # -- topology ------------------------------------------------------------
     @property
@@ -263,7 +252,7 @@ class MemoryFabric:
         return self.cxl_meta_by_device[0]
 
     def home_of_page(self, page: int) -> int:
-        """Home expansion device of a CXL page (precomputed-table lookup)."""
+        """Home expansion device of a CXL page."""
         table = self._home_by_page
         if table is not None and 0 <= page < len(table):
             return table[page]
@@ -272,7 +261,7 @@ class MemoryFabric:
         return self.shard.home_of_page(page)
 
     def local_page(self, page: int) -> int:
-        """Plane-local page index (precomputed-table lookup).
+        """Plane-local page index.
 
         Single tenant: the page's index within its home device's slice.
         Multi-tenant: its index within the (tenant, device) security plane,
@@ -393,85 +382,6 @@ class MemoryFabric:
         )
         self._loc_cache[key] = loc
         return loc
-
-    def locate_batch(self, cxl_addrs, frames, ts=None) -> List[SectorLoc]:
-        """Vectorized :meth:`locate` over parallel address/frame arrays.
-
-        All static coordinate math (page, chunk, sector, channel, local
-        slot) is computed with shift/mask array ops in one shot; each home
-        device's rows are then materialized as an independent batch and the
-        per-device results merged deterministically by
-        ``(timestamp, device, seq)`` - ``ts`` defaults to the row ordinal,
-        so the merged order is the input order regardless of how rows were
-        grouped across planes. Results are installed in (and served from)
-        the same memo the scalar path uses, so warming an epoch through
-        here is observationally inert. Requires numpy.
-        """
-        from ..kernel import require_numpy
-
-        np = require_numpy()
-        addrs = np.asarray(cxl_addrs, dtype=np.int64)
-        frs = np.asarray(frames, dtype=np.int64)
-        if addrs.shape != frs.shape:
-            raise SimulationError("locate_batch: addrs and frames must align")
-        n = int(addrs.size)
-        if n == 0:
-            return []
-        geom = self.geometry
-        geom._check_addr(int(addrs.min()))
-        if self.tenant_map is not None:
-            # Tenant-aware channel routing is per-page; the coordinates are
-            # pure and memoized, so a scalar sweep in input order matches
-            # the merged vectorized result exactly.
-            return [
-                self.locate(int(a), int(f))
-                for a, f in zip(addrs.tolist(), frs.tolist())
-            ]
-        ts_arr = np.arange(n, dtype=np.int64) if ts is None else np.asarray(ts, dtype=np.int64)
-        pages = addrs // geom.page_bytes
-        in_page = addrs % geom.page_bytes
-        sector_in_page = in_page // geom.sector_bytes
-        chunk_in_page = in_page // geom.chunk_bytes
-        sector_in_chunk = (addrs % geom.chunk_bytes) // geom.sector_bytes
-        channels, local_chunks = self.interleaver.device_chunk_locations(
-            frs, chunk_in_page
-        )
-        local_sectors = local_chunks * geom.sectors_per_chunk + sector_in_chunk
-        device_chunks = frs * geom.chunks_per_page + chunk_in_page
-        if self._single_device:
-            homes = np.zeros(n, dtype=np.int64)
-        else:
-            homes = self.shard.home_of_pages(pages)
-        columns = (addrs, pages, sector_in_page, chunk_in_page, sector_in_chunk,
-                   frs, channels, local_sectors, local_chunks, device_chunks)
-        merged = []
-        for device in range(self.num_devices):
-            idx = np.nonzero(homes == device)[0]
-            if idx.size == 0:
-                continue
-            plane = [col[idx].tolist() for col in columns]
-            for seq, (t, i, row) in enumerate(
-                zip(ts_arr[idx].tolist(), idx.tolist(), zip(*plane))
-            ):
-                merged.append((t, device, seq, i, row))
-        merged.sort(key=lambda item: (item[0], item[1], item[2]))
-        out: List[Optional[SectorLoc]] = [None] * n
-        cache = self._loc_cache
-        num_frames = self.num_frames
-        for t, device, seq, i, row in merged:
-            addr, page, sip, cip, sic, frame, channel, lsec, lchunk, dchunk = row
-            key = addr * num_frames + frame
-            loc = cache.get(key)
-            if loc is None:
-                loc = SectorLoc(
-                    cxl_addr=addr, page=page, sector_in_page=sip,
-                    chunk_in_page=cip, sector_in_chunk=sic, frame=frame,
-                    channel=channel, local_sector=lsec, local_chunk=lchunk,
-                    device_chunk=dchunk, home_device=device,
-                )
-                cache[key] = loc
-            out[i] = loc
-        return out
 
     # -- raw bookings ----------------------------------------------------------
     def device_read(

@@ -1,10 +1,10 @@
 """Stdlib HTTP front end for :class:`~repro.service.service.SimService`.
 
 A deliberately small HTTP/1.1 server on raw ``asyncio`` streams - no new
-dependencies, same pattern as the numpy-optional kernel: the service runs
-anywhere the simulator runs. One connection per request (``Connection:
-close``), JSON bodies, and one streaming endpoint (``/jobs/<fp>/events``)
-that emits NDJSON until the job reaches a terminal state.
+dependencies: the service runs anywhere the simulator runs. One connection
+per request (``Connection: close``), JSON bodies, and one streaming endpoint
+(``/jobs/<fp>/events``) that emits NDJSON until the job reaches a terminal
+state.
 
 The API surface (documented operator-first in docs/SERVICE.md):
 

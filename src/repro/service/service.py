@@ -20,10 +20,10 @@ sweep. The pieces, in request order (docs/SERVICE.md has the operator view):
   unbounded work and fork-bombing the host.
 * **Run** - worker slots execute jobs through a fresh per-call
   :class:`~repro.harness.engine.ExperimentEngine` (same cache dir, same
-  ledger), so the on-disk result cache, the run ledger and the dual-kernel
-  seam behave exactly as they do for in-process runs. Results are therefore
-  provably bit-identical to local execution: same ``SimJob.execute`` path,
-  same fingerprints.
+  ledger), so the on-disk result cache and the run ledger behave exactly
+  as they do for in-process runs. Results are therefore provably
+  bit-identical to local execution: same ``SimJob.execute`` path, same
+  fingerprints.
 * **Stream** - every engine progress event (``start``/``heartbeat``/
   ``done``) is multiplexed to per-record subscribers; the HTTP layer renders
   a subscription as NDJSON. A record keeps a bounded event history so late
@@ -79,7 +79,6 @@ class ServiceConfig:
     queue_depth: int = 32
     cache_dir: Optional[str] = None
     use_cache: bool = True
-    kernel: Optional[str] = None
     ledger: Optional[bool] = None
     progress_epoch: int = DEFAULT_PROGRESS_EPOCH
     execution: str = "thread"
@@ -261,8 +260,7 @@ class _QueueProgress:
 
 
 def _run_job(job: SimJob, cache_dir: Optional[str], use_cache: bool,
-             kernel: Optional[str], progress_epoch: int,
-             ledger: Optional[bool], progress):
+             progress_epoch: int, ledger: Optional[bool], progress):
     """Execute one job through a fresh engine (thread- and process-safe).
 
     Returns ``(JobOutcome, EngineStats)``. A fresh engine per call keeps
@@ -274,7 +272,6 @@ def _run_job(job: SimJob, cache_dir: Optional[str], use_cache: bool,
         jobs=1,
         cache_dir=cache_dir,
         use_cache=use_cache,
-        kernel=kernel,
         progress=progress,
         progress_epoch=progress_epoch,
         ledger=ledger,
@@ -410,7 +407,6 @@ class SimService:
             "paused": self._paused,
             "records": len(self.records),
             "cache_dir": self.config.cache_dir,
-            "kernel": self.config.kernel,
             "engine_schema": SCHEMA_VERSION,
             "uptime_s": round(time.time() - self.started_at, 3)
             if self.started_at
@@ -552,7 +548,6 @@ class SimService:
             job,
             self.config.cache_dir,
             self.config.use_cache,
-            self.config.kernel,
             self.config.progress_epoch,
             self.config.ledger,
             progress,

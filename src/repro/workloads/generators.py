@@ -227,7 +227,8 @@ def generate_multi_tenant_trace(
     Tenant ``t`` owns pages ``[t * spec.footprint_pages, (t + 1) *
     spec.footprint_pages)`` - exactly the page span a
     :class:`~repro.address.TenantMap` over the combined footprint assigns
-    it - so the trace passes kernel isolation enforcement by construction.
+    it - so the trace passes the request loop's isolation checks by
+    construction.
     Each tenant's stream is generated with its own derived seed; ``mix``
     selects the co-tenant personalities (see :data:`TENANT_MIXES`).
     """

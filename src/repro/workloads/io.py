@@ -8,7 +8,8 @@ GPGPU-Sim or binary-instrumentation traces) into the simulator.
 Format: a NumPy ``.npz`` archive with three aligned arrays - ``addrs``
 (uint64 CXL byte addresses), ``writes`` (uint8 flags), ``sms`` (uint16
 issuing-SM ids) - plus a metadata record (name, footprint, compute/mem,
-format version).
+format version). numpy is imported only when a trace is saved or loaded,
+so a run that never touches ``.npz`` files does not load it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Union
-
-import numpy as np
 
 from ..errors import TraceError
 from ..memsys.request import Access, MemoryRequest
@@ -28,6 +27,8 @@ FORMAT_VERSION = 1
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
     """Write a trace to ``path`` (``.npz``); returns the resolved path."""
+    import numpy as np
+
     path = Path(path)
     if not trace.requests:
         raise TraceError("refusing to save an empty trace")
@@ -58,6 +59,8 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
 
 def load_trace(path: Union[str, Path]) -> Trace:
     """Load a trace previously written by :func:`save_trace`."""
+    import numpy as np
+
     path = Path(path)
     try:
         archive = np.load(path)

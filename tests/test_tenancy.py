@@ -8,14 +8,13 @@ Three layers of guarantees, mirroring ``test_topology.py``:
   ``to_dict``/``from_dict`` roundtrip.
 * **Partition-math properties** (Hypothesis) - for any valid tenant count
   the :class:`~repro.address.TenantMap` splits SMs, channels, pages and
-  devices into *disjoint, covering* partitions, and the vectorized page
-  ownership matches the scalar reference.
+  devices into *disjoint, covering* partitions.
 * **Isolation and behavior preservation** - multi-tenant runs use
   physically distinct metadata planes and key domains, cross-tenant
-  requests raise the same :class:`~repro.errors.IsolationError` under both
-  request-path kernels, and an explicit 1-tenant partition reproduces the
-  recorded ``BENCH_perf.json`` fingerprints bit-identically under both
-  kernels.
+  requests raise :class:`~repro.errors.IsolationError`, and an explicit
+  1-tenant partition reproduces the recorded ``BENCH_perf.json``
+  fingerprints bit-identically. The exact error messages and 2-tenant
+  run fingerprints are pinned in ``test_request_path.py``.
 """
 
 import importlib.util
@@ -122,16 +121,6 @@ class TestTenantMapProperties:
                 assert tmap.tenant_of_page(p) == t
 
     @given(tmap=tenant_maps())
-    @settings(max_examples=40, deadline=None)
-    def test_vectorized_ownership_matches_scalar(self, tmap):
-        np = pytest.importorskip("numpy")
-        pages = np.arange(tmap.total_pages, dtype=np.int64)
-        vec = tmap.tenant_of_pages(pages)
-        assert [int(v) for v in vec] == [
-            tmap.tenant_of_page(p) for p in range(tmap.total_pages)
-        ]
-
-    @given(tmap=tenant_maps())
     @settings(max_examples=60, deadline=None)
     def test_sm_partition_disjoint_and_covering(self, tmap):
         """sm_slot confines each tenant to its own SM group; groups tile
@@ -201,32 +190,17 @@ class TestIsolation:
         fabric = MemoryFabric(cfg, 256, StatRegistry())
         assert len(fabric.keys_by_tenant) == 1
 
-    @pytest.mark.parametrize("kernel", ["scalar", "batched"])
-    def test_cross_tenant_request_raises(self, kernel):
+    def test_cross_tenant_request_raises(self):
         cfg = SystemConfig.bench().with_tenants(2)
         trace = _cross_tenant_trace(tenant=1)
         with pytest.raises(IsolationError):
-            run_model(cfg, trace, "salus", kernel=kernel)
+            run_model(cfg, trace, "salus")
 
-    @pytest.mark.parametrize("kernel", ["scalar", "batched"])
-    def test_invalid_tenant_id_raises(self, kernel):
+    def test_invalid_tenant_id_raises(self):
         cfg = SystemConfig.bench().with_tenants(2)
         trace = _cross_tenant_trace(tenant=5)
         with pytest.raises(IsolationError):
-            run_model(cfg, trace, "salus", kernel=kernel)
-
-    def test_isolation_error_identical_across_kernels(self):
-        """The dual-engine contract extends to the error path: both
-        kernels reject the same request with the same message."""
-        cfg = SystemConfig.bench().with_tenants(2)
-        for tenant in (1, 5):
-            messages = []
-            for kernel in ("scalar", "batched"):
-                with pytest.raises(IsolationError) as err:
-                    run_model(cfg, _cross_tenant_trace(tenant), "salus",
-                              kernel=kernel)
-                messages.append(str(err.value))
-            assert messages[0] == messages[1]
+            run_model(cfg, trace, "salus")
 
     def test_tenant_metrics_partition_the_totals(self):
         """tenant<t>.* namespaces appear, and per-tenant instruction and
@@ -245,17 +219,6 @@ class TestIsolation:
         assert (m["tenant0.evictions"] + m["tenant1.evictions"]
                 == result.evictions)
 
-    @pytest.mark.parametrize("mix", ["mirror", "noisy"])
-    def test_multi_tenant_runs_are_kernel_identical(self, mix):
-        cfg = SystemConfig.bench().with_tenants(2)
-        trace = build_trace("kmeans", n_accesses=1_200, seed=7,
-                            num_sms=cfg.gpu.num_sms, tenants=2,
-                            tenant_mix=mix)
-        for model in ("baseline", "salus"):
-            a = run_model(cfg, trace, model, kernel="scalar")
-            b = run_model(cfg, trace, model, kernel="batched")
-            assert a.fingerprint() == b.fingerprint()
-
 
 # ---------------------------------------------------- behavior preservation
 def _load_bench_perf_module():
@@ -270,20 +233,18 @@ def _load_bench_perf_module():
 class TestSingleTenantPreservation:
     def test_explicit_one_tenant_is_bit_identical(self):
         """with_tenants(1) == the default whole-machine config, run for
-        run, under both kernels."""
+        run."""
         base = SystemConfig.bench()
         explicit = base.with_tenants(1)
         trace = build_trace(
             "backprop", n_accesses=1_500, seed=7, num_sms=base.gpu.num_sms
         )
         for model in ("nosec", "baseline", "salus"):
-            for kernel in ("scalar", "batched"):
-                a = run_model(base, trace, model, kernel=kernel)
-                b = run_model(explicit, trace, model, kernel=kernel)
-                assert a.fingerprint() == b.fingerprint()
+            a = run_model(base, trace, model)
+            b = run_model(explicit, trace, model)
+            assert a.fingerprint() == b.fingerprint()
 
-    @pytest.mark.parametrize("kernel", ["scalar", "batched"])
-    def test_quick_sweep_reproduces_recorded_fingerprints(self, kernel):
+    def test_quick_sweep_reproduces_recorded_fingerprints(self):
         """The tenancy refactor rides under the established fingerprint
         gate: the quick sweep (now built through an explicit 1-tenant
         partition) must still equal the fingerprints recorded in
@@ -293,7 +254,7 @@ class TestSingleTenantPreservation:
         spec = bench_perf.sweep_spec(quick=True)
         ref = bench_perf.find_entry(store, spec["name"], "baseline")
         assert ref is not None, "BENCH_perf.json lacks the quick/baseline entry"
-        jobs, _results = bench_perf.run_sweep(spec, kernel=kernel)
+        jobs, _results = bench_perf.run_sweep(spec)
         assert set(jobs) == set(ref["jobs"])
         for label, job in jobs.items():
             assert job["fingerprint"] == ref["jobs"][label]["fingerprint"], (
