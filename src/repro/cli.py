@@ -44,12 +44,6 @@ Observability commands (see docs/METRICS.md and docs/TRACING.md):
   trajectory and checks the ledger against it.
 * ``repro diff A B`` localizes the first divergence between two runs,
   given two ``run --json`` dumps or two Chrome traces.
-
-Service mode (see docs/SERVICE.md): ``repro serve`` runs a long-lived job
-service sharing one warm cache across clients; ``run``/``figure``/
-``figures`` with ``--server URL`` (or $REPRO_SERVER) execute there
-instead of in-process, with client-side fingerprint verification proving
-the results bit-identical to local execution.
 """
 
 from __future__ import annotations
@@ -165,11 +159,6 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-ledger", action="store_true",
                         help="do not record completed jobs in the run "
                              "ledger (<cache-dir>/ledger.jsonl)")
-    parser.add_argument("--server", default=os.environ.get("REPRO_SERVER"),
-                        metavar="URL",
-                        help="run jobs on a shared 'repro serve' instance "
-                             "instead of in-process (default $REPRO_SERVER; "
-                             "results are fingerprint-verified identical)")
 
 
 def _progress_sink(args: argparse.Namespace, total: Optional[int] = None):
@@ -196,35 +185,18 @@ def _progress_sink(args: argparse.Namespace, total: Optional[int] = None):
     return combine_progress_sinks(renderer, writer)
 
 
-def _build_engine(args: argparse.Namespace, total: Optional[int] = None):
-    """Resolve the execution seam: in-process engine, or a remote service.
-
-    With ``--server URL`` (or $REPRO_SERVER) jobs run on a shared
-    ``repro serve`` instance through the fingerprint-verifying
-    :class:`~repro.harness.client.RemoteEngine`; everything above this
-    seam is identical either way. Tracing stays local-only: a Chrome
-    trace is a property of one in-process execution.
-    """
-    server = getattr(args, "server", None)
-    if server:
-        if getattr(args, "trace", False):
-            from .errors import ServiceError
-
-            raise ServiceError(
-                "--trace needs in-process execution; drop --server"
-            )
-        from .harness.client import RemoteEngine
-
-        return RemoteEngine(server, progress=_progress_sink(args, total=total))
+def _build_engine(
+    args: argparse.Namespace, total: Optional[int] = None
+) -> ExperimentEngine:
+    """Build the in-process engine from the ``_add_engine`` flags."""
     cache_dir = None if args.no_cache else args.cache_dir
     trace_dir = args.trace_out if getattr(args, "trace", False) else None
-    ledger = False if getattr(args, "no_ledger", False) else None
     return ExperimentEngine(
         jobs=max(1, args.jobs),
         cache_dir=cache_dir,
         trace_dir=trace_dir,
         progress=_progress_sink(args, total=total),
-        ledger=ledger,
+        ledger=not getattr(args, "no_ledger", False),
     )
 
 
@@ -331,10 +303,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     With a positional ``output`` this keeps its original behavior and
     exports the generated workload to ``.npz``. Without one it runs a single
     traced simulation and writes the Chrome-trace timeline to
-    ``--trace-out``. The traced run always executes in-process - ``--jobs``
-    is accepted for command-line symmetry with ``run`` but has no effect
-    here, which is what makes the emitted trace byte-identical regardless
-    of parallelism settings.
+    ``--trace-out``. The traced run always executes in-process.
     """
     config = _build_config(args)
     trace = build_trace(
@@ -703,52 +672,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """The ``serve`` command: long-lived shared job service (docs/SERVICE.md).
-
-    Serves the HTTP job API until SIGINT/SIGTERM (or a client's
-    ``POST /admin/shutdown``), then drains in-flight jobs and exits.
-    Any ``repro run``/``figure``/``figures`` invocation with
-    ``--server URL`` executes against it.
-    """
-    import asyncio
-
-    from .service import CacheEvictionPolicy, ServiceConfig, serve_forever
-
-    cache_dir = None if args.no_cache else args.cache_dir
-    ledger = False if getattr(args, "no_ledger", False) else None
-    service_config = ServiceConfig(
-        workers=max(1, args.workers),
-        queue_depth=args.queue_depth,
-        cache_dir=cache_dir,
-        ledger=ledger,
-        execution=args.execution,
-        eviction=CacheEvictionPolicy(
-            max_entries=args.cache_max_entries, ttl_s=args.cache_ttl
-        ),
-        retry_after_s=args.retry_after,
-    )
-
-    def ready(server) -> None:
-        print(f"repro serve: listening on {server.url}", flush=True)
-        print(
-            f"  workers={service_config.workers} "
-            f"queue_depth={service_config.queue_depth} "
-            f"execution={service_config.execution} "
-            f"cache={cache_dir or '(memory only)'}",
-            flush=True,
-        )
-        print("  stop with Ctrl-C (drains in-flight jobs) or "
-              "POST /admin/shutdown", flush=True)
-
-    asyncio.run(
-        serve_forever(service_config, host=args.host, port=args.port,
-                      ready=ready)
-    )
-    print("repro serve: drained and stopped", flush=True)
-    return 0
-
-
 def cmd_diff(args: argparse.Namespace) -> int:
     """The ``diff`` command: first divergence between two run artifacts."""
     from .harness.diff import DiffError, diff_paths
@@ -808,9 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="tracer ring capacity; older events are "
                               "dropped past this (default 200000)")
-    p_trace.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="accepted for symmetry with 'run'; traced "
-                              "simulations always execute in-process")
     _add_common(p_trace)
     p_trace.set_defaults(func=cmd_trace)
 
@@ -834,10 +754,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_runs.add_argument("--bench", default=None, help="filter by benchmark")
     p_runs.add_argument("--model", default=None, help="filter by model")
     p_runs.add_argument("--source", default=None,
-                        choices=("run", "disk", "memory", "coalesced"),
-                        help="filter by how the result was obtained "
-                             "('coalesced'/'memory' entries are service-"
-                             "mode submissions answered by another's run)")
+                        choices=("run", "disk", "memory"),
+                        help="filter by how the result was obtained: "
+                             "'run' simulated, 'disk' from the result "
+                             "cache, 'memory' from the engine's in-process "
+                             "memo")
     p_runs.add_argument("--limit", type=int, default=20, metavar="N",
                         help="show the latest N matches (default 20)")
     p_runs.add_argument("--json", action="store_true",
@@ -864,46 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cache directory holding ledger.jsonl "
                              "(default .salus-cache)")
     p_perf.set_defaults(func=cmd_perf)
-
-    p_serve = sub.add_parser(
-        "serve", help="run the shared simulation job service "
-                      "(see docs/SERVICE.md)"
-    )
-    p_serve.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default 127.0.0.1)")
-    p_serve.add_argument("--port", type=int, default=8765,
-                         help="TCP port; 0 picks an ephemeral one "
-                              "(default 8765)")
-    p_serve.add_argument("--workers", type=int, default=2, metavar="N",
-                         help="concurrent simulation workers (default 2)")
-    p_serve.add_argument("--queue-depth", type=int, default=32, metavar="N",
-                         help="pending-job bound; submissions beyond it get "
-                              "HTTP 429 + Retry-After (default 32)")
-    p_serve.add_argument("--cache-dir", default=default_cache_dir(),
-                         help="shared result cache + run ledger directory "
-                              "(default .salus-cache, or $REPRO_CACHE_DIR)")
-    p_serve.add_argument("--no-cache", action="store_true",
-                         help="serve without a persistent cache or ledger")
-    p_serve.add_argument("--no-ledger", action="store_true",
-                         help="keep the cache but skip ledger recording")
-    p_serve.add_argument("--execution", choices=("thread", "process", "auto"),
-                         default="thread",
-                         help="worker execution mode: threads (default), "
-                              "worker processes, or auto (processes with "
-                              "thread fallback)")
-    p_serve.add_argument("--cache-max-entries", type=int, default=None,
-                         metavar="N",
-                         help="LRU-evict the result cache beyond N entries "
-                              "(default: unbounded)")
-    p_serve.add_argument("--cache-ttl", type=float, default=None,
-                         metavar="SECONDS",
-                         help="evict cache entries unused for this long "
-                              "(default: never)")
-    p_serve.add_argument("--retry-after", type=float, default=1.0,
-                         metavar="SECONDS",
-                         help="Retry-After hint sent with HTTP 429 "
-                              "(default 1.0)")
-    p_serve.set_defaults(func=cmd_serve)
 
     p_diff = sub.add_parser(
         "diff", help="first divergence between two runs (result JSONs or "
@@ -956,15 +837,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    from .errors import ServiceError
-
     try:
         return args.func(args)
-    except ServiceError as exc:
-        # Operational, not programming, errors: unreachable server,
-        # saturation past the client's retry budget, draining service.
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         return 130
 

@@ -436,56 +436,6 @@ class SystemConfig:
         """Nested plain-value dict of every parameter (JSON-safe)."""
         return asdict(self)
 
-    @staticmethod
-    def _init_kwargs(cls_, data: dict) -> dict:
-        """Keep only the constructor parameters of ``cls_``.
-
-        ``to_dict`` (``asdict``) also serializes derived ``init=False``
-        fields (e.g. the precomputed Geometry ratios); reconstruction must
-        drop them and let ``__post_init__`` recompute, so a round-tripped
-        config is field-identical to the original.
-        """
-        from dataclasses import fields
-
-        allowed = {f.name for f in fields(cls_) if f.init}
-        return {k: v for k, v in data.items() if k in allowed}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SystemConfig":
-        """Inverse of :meth:`to_dict`: rebuild a config from its plain dict.
-
-        Tolerates JSON round-trips (tuples arrive as lists) and ignores
-        unknown keys, so payloads from newer/older peers degrade to the
-        defaults rather than erroring. The contract the job service relies
-        on: ``SystemConfig.from_dict(c.to_dict()).fingerprint() ==
-        c.fingerprint()`` for every constructible config.
-        """
-        if not isinstance(data, dict):
-            raise ConfigError(f"config payload must be a dict, got {type(data).__name__}")
-        topo_kwargs = cls._init_kwargs(TopologyConfig, data.get("topology", {}))
-        for name in ("link_bw_ratios", "link_latencies"):
-            if name in topo_kwargs:
-                topo_kwargs[name] = tuple(topo_kwargs[name])
-        part_kwargs = cls._init_kwargs(PartitionConfig, data.get("partition", {}))
-        if "tenants" in part_kwargs:
-            part_kwargs["tenants"] = tuple(
-                TenantSpec(**cls._init_kwargs(TenantSpec, spec))
-                for spec in part_kwargs["tenants"]
-            )
-        kwargs = {
-            "gpu": GPUConfig(**cls._init_kwargs(GPUConfig, data.get("gpu", {}))),
-            "security": SecurityConfig(
-                **cls._init_kwargs(SecurityConfig, data.get("security", {}))
-            ),
-            "salus": SalusConfig(**cls._init_kwargs(SalusConfig, data.get("salus", {}))),
-            "geometry": Geometry(**cls._init_kwargs(Geometry, data.get("geometry", {}))),
-            "topology": TopologyConfig(**topo_kwargs),
-            "partition": PartitionConfig(**part_kwargs),
-        }
-        if "device_capacity_ratio" in data:
-            kwargs["device_capacity_ratio"] = data["device_capacity_ratio"]
-        return cls(**kwargs)
-
     def fingerprint(self) -> str:
         """Stable content hash of the full configuration.
 

@@ -63,23 +63,3 @@ class IsolationError(TraceError):
 class EngineError(ReproError):
     """One or more jobs of an experiment batch failed to execute."""
 
-
-class ServiceError(ReproError):
-    """The simulation job service (or a client talking to it) failed."""
-
-
-class ServiceSaturatedError(ServiceError):
-    """The service's bounded job queue is full: retryable backpressure.
-
-    Carries ``retry_after_s``, the server's hint for when capacity is
-    expected (surfaced over HTTP as a 429 with a ``Retry-After`` header).
-    Clients should back off and resubmit rather than treat this as failure.
-    """
-
-    def __init__(self, message: str, retry_after_s: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after_s = retry_after_s
-
-
-class ServiceClosedError(ServiceError):
-    """The service is shutting down (draining) and accepts no new jobs."""

@@ -257,17 +257,9 @@ class ResultCache:
         if payload.get("fingerprint") != fingerprint:
             return None
         try:
-            result = RunResult.from_dict(payload["result"])
+            return RunResult.from_dict(payload["result"])
         except (KeyError, TypeError, ValueError):
             return None
-        # Refresh the entry's mtime so LRU eviction (the job service's
-        # cache policy, see repro.service.store) ranks by last *use*, not
-        # last write. Best-effort: a read-only cache still serves hits.
-        try:
-            os.utime(path, None)
-        except OSError:
-            pass
-        return result
 
     def put(self, fingerprint: str, job: SimJob, result: RunResult) -> Path:
         path = self.path_for(fingerprint)
@@ -447,37 +439,33 @@ class ExperimentEngine:
     on or off.
 
     ``ledger`` controls the append-only run registry
-    (:class:`~repro.harness.ledger.RunLedger`): by default every completed
-    job is recorded in ``<cache_dir>/ledger.jsonl`` whenever a cache
-    directory is attached; pass ``False`` to disable, or ``True`` to force
-    (requires a cache dir). Ledger entries are derived *from* results and
-    never feed back into cache keys or fingerprints.
+    (:class:`~repro.harness.ledger.RunLedger`): when true (the default)
+    every completed job is recorded in ``<cache_dir>/ledger.jsonl``
+    whenever a cache directory is attached; pass ``False`` to disable.
+    Ledger entries are derived *from* results and never feed back into
+    cache keys or fingerprints.
     """
 
     def __init__(
         self,
         jobs: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
-        use_cache: bool = True,
         trace_dir: Optional[Union[str, Path]] = None,
         progress: Optional[Callable[[Dict], None]] = None,
         progress_epoch: int = DEFAULT_PROGRESS_EPOCH,
-        ledger: Optional[bool] = None,
+        ledger: bool = True,
     ) -> None:
         if jobs < 1:
             raise EngineError(f"worker count must be >= 1, got {jobs}")
         self.workers = int(jobs)
         self.cache: Optional[ResultCache] = (
-            ResultCache(cache_dir) if (use_cache and cache_dir is not None) else None
+            ResultCache(cache_dir) if cache_dir is not None else None
         )
         self.trace_dir: Optional[Path] = Path(trace_dir) if trace_dir is not None else None
         self.progress = progress
         self.progress_epoch = max(1, int(progress_epoch))
-        if ledger is True and cache_dir is None:
-            raise EngineError("ledger=True requires a cache directory")
-        want_ledger = cache_dir is not None if ledger is None else ledger
         self.ledger: Optional[RunLedger] = (
-            RunLedger(cache_dir) if (want_ledger and cache_dir is not None) else None
+            RunLedger(cache_dir) if (ledger and cache_dir is not None) else None
         )
         self.stats = EngineStats()
         self.last_outcomes: List[JobOutcome] = []

@@ -48,7 +48,8 @@ class LedgerEntry:
     """One completed simulation, as recorded in the ledger.
 
     ``source`` says how the result was obtained (``run`` = simulated,
-    ``disk``/``memory`` = cache hit); ``wall_s`` is the wall-clock cost of
+    ``disk`` = result-cache hit, ``memory`` = hit in the engine's
+    in-process memo); ``wall_s`` is the wall-clock cost of
     obtaining it (near zero for hits). ``metrics`` is the flat
     ``{dotted_name: number}`` snapshot from ``RunResult.metrics`` - enough
     to localize *which* subsystem moved when two entries' fingerprints

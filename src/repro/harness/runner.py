@@ -199,10 +199,10 @@ class ProgressRenderer:
 class ProgressJsonlWriter:
     """Machine-readable progress sink (``--progress-jsonl PATH``).
 
-    Appends one JSON object per event, in delivery order - the streaming-
-    progress substrate a job server can tail. The file handle stays open
-    for the writer's lifetime; each line is flushed so a tail-follower sees
-    events as they happen.
+    Appends one JSON object per event, in delivery order, for tooling and
+    tests to consume. The file handle stays open for the writer's
+    lifetime; each line is flushed so a tail-follower sees events as they
+    happen.
     """
 
     def __init__(self, path) -> None:

@@ -72,6 +72,24 @@ class TestParser:
         assert args.cxl_bw_ratio == pytest.approx(0.25)
         assert args.fill_granularity == "chunk"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve"],
+            ["run", "nw", "--server", "http://127.0.0.1:8765"],
+            ["figures", "--server", "http://127.0.0.1:8765"],
+            ["trace", "nw", "--jobs", "2"],
+            ["runs", "--source", "coalesced"],
+        ],
+        ids=["serve", "run-server", "figures-server", "trace-jobs",
+             "runs-source-coalesced"],
+    )
+    def test_rejects_retired_commands_and_flags(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_output(self, capsys):

@@ -173,12 +173,6 @@ class TestEngineIntegration:
         engine.map([job()])
         assert engine.ledger is None
 
-    def test_forcing_ledger_without_cache_dir_is_an_error(self):
-        from repro.errors import EngineError
-
-        with pytest.raises(EngineError):
-            ExperimentEngine(ledger=True)
-
 
 class TestKeyIsolation:
     """The ledger must be invisible to the content-addressed cache."""

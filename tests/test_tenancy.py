@@ -4,8 +4,8 @@ Three layers of guarantees, mirroring ``test_topology.py``:
 
 * **Config validation** - :class:`~repro.config.PartitionConfig` and
   ``SystemConfig.with_tenants`` reject partitions that do not align with
-  the GPC/channel geometry, and the partition fields survive a
-  ``to_dict``/``from_dict`` roundtrip.
+  the GPC/channel geometry, and a partition change changes the config
+  fingerprint (the cache key).
 * **Partition-math properties** (Hypothesis) - for any valid tenant count
   the :class:`~repro.address.TenantMap` splits SMs, channels, pages and
   devices into *disjoint, covering* partitions.
@@ -63,18 +63,6 @@ class TestPartitionConfig:
     def test_rejects_more_tenants_than_gpcs(self):
         with pytest.raises(ConfigError):
             SystemConfig.bench().with_tenants(8)
-
-    def test_partition_survives_dict_roundtrip(self):
-        cfg = SystemConfig.bench().with_tenants(4)
-        back = SystemConfig.from_dict(cfg.to_dict())
-        assert back.partition.num_tenants == 4
-        assert back.fingerprint() == cfg.fingerprint()
-
-    def test_single_tenant_roundtrip_matches_default(self):
-        base = SystemConfig.bench()
-        back = SystemConfig.from_dict(base.to_dict())
-        assert back.partition.num_tenants == 1
-        assert back.fingerprint() == base.fingerprint()
 
 
 # ---------------------------------------------------------- partition math

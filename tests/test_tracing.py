@@ -339,23 +339,22 @@ class TestEngineTracing:
 
 
 class TestCliGoldenTrace:
-    def run_trace(self, tmp_path, name, jobs):
-        out = tmp_path / name
-        code = main(
-            [
-                "trace", "nw", "--accesses", str(N), "--seed", str(SEED),
-                "--trace-out", str(out), "--jobs", str(jobs),
-            ]
-        )
-        assert code == 0
-        return out.read_bytes()
+    RECIPE = ["nw", "--accesses", str(N), "--seed", str(SEED)]
 
     def test_trace_json_byte_stable_across_jobs(self, tmp_path, capsys):
-        serial = self.run_trace(tmp_path, "serial.json", jobs=1)
-        parallel = self.run_trace(tmp_path, "parallel.json", jobs=2)
+        # 'repro trace' simulates in-process; 'run --trace --jobs 2' writes
+        # the same job's trace from a worker process. Same bytes either way.
+        serial = tmp_path / "serial.json"
+        assert main(["trace", *self.RECIPE, "--trace-out", str(serial)]) == 0
+        traces = tmp_path / "parallel"
+        assert main(
+            ["run", *self.RECIPE, "--models", "nosec", "salus", "--no-cache",
+             "--trace", "--trace-out", str(traces), "--jobs", "2"]
+        ) == 0
         capsys.readouterr()
-        assert serial == parallel
-        validate_chrome_trace(json.loads(serial.decode("utf-8")))
+        (parallel,) = traces.glob("nw-salus-*.trace.json")
+        assert serial.read_bytes() == parallel.read_bytes()
+        validate_chrome_trace(json.loads(serial.read_text(encoding="utf-8")))
 
     def test_trace_npz_export_still_works(self, tmp_path, capsys):
         out = tmp_path / "nw.npz"
