@@ -34,7 +34,7 @@ from ..memsys.request import Access, MemoryRequest
 from ..migration.dirty import DirtyTracker
 from ..migration.engine import MigrationEngine
 from ..migration.page_cache import PageCache
-from ..security.fabric import MemoryFabric
+from ..security.fabric import MemoryFabric, SectorLoc
 from ..security.model import TimingSecurityModel
 from ..sim.events import EventQueue, PeriodicSampler
 from ..sim.metrics import collect_metrics
@@ -116,11 +116,6 @@ class RunResult:
             counters=dict(data.get("counters", {})),
             metrics=dict(data.get("metrics", {})),
         )
-
-    def utilization(self, side: Side, fabric_busy: int) -> float:
-        if self.cycles <= 0:
-            return 0.0
-        return fabric_busy / self.cycles
 
     def fingerprint(self) -> str:
         """Stable content hash of the complete observable result.
@@ -393,8 +388,8 @@ class GpuSim:
             )
             self.model.writeback(now, loc)
 
-    def _access_memory(self, now: int, addr: int, is_write: bool, frame: int) -> int:
-        loc = self.fabric.locate(addr, frame)
+    def _access_memory(self, now: int, loc: SectorLoc, is_write: bool) -> int:
+        addr = loc.cxl_addr
         if self._chunk_mode:
             # Writes also wait for the chunk (read-for-ownership: untouched
             # sectors of a dirty chunk must hold valid ciphertext so the
@@ -460,6 +455,9 @@ class GpuSim:
         filling to ``ensure_resident``, and every other L2 case - misses,
         MSHR merges, evictions, chunk-granularity fills - to
         :meth:`_access_memory`.
+
+        Each request is located once (:meth:`MemoryFabric.locate`, with the
+        memo hit inlined) and the fallbacks receive that :class:`SectorLoc`.
         """
         gpu = self.config.gpu
         fabric = self.fabric
@@ -571,13 +569,16 @@ class GpuSim:
                 traversed += 1
                 t_mem = start + ic_lat
 
+                # Locate once: a memo hit inline, a miss through locate();
+                # every fallback below reuses this loc.
+                loc = loc_get(addr * num_frames + frame)
+                if loc is None:
+                    loc = locate(addr, frame)
+
                 # L2: sector hit on a read, write to a present line.
                 if chunk_mode:
-                    completion = access_memory(t_mem, addr, is_write, frame)
+                    completion = access_memory(t_mem, loc, is_write)
                 else:
-                    loc = loc_get(addr * num_frames + frame)
-                    if loc is None:
-                        loc = locate(addr, frame)
                     cache = l2_caches[loc.channel]
                     line_addr = (page, (addr >> block_shift) & block_mask)
                     cache_set = cache._set_lookup.get(line_addr)
@@ -586,7 +587,7 @@ class GpuSim:
                     line = cache_set.get(line_addr)
                     bit = 1 << ((addr >> sector_shift) & sector_mask)
                     if line is None:
-                        completion = access_memory(t_mem, addr, is_write, frame)
+                        completion = access_memory(t_mem, loc, is_write)
                     elif is_write:
                         on_store(t_mem, loc)
                         cache_set.move_to_end(line_addr)
@@ -602,7 +603,7 @@ class GpuSim:
                         cache.hits += 1
                         completion = t_mem + l2_lat
                     else:
-                        completion = access_memory(t_mem, addr, False, frame)
+                        completion = access_memory(t_mem, loc, False)
 
                 # Warp completion.
                 if completion > warp_ready[warp]:

@@ -110,13 +110,6 @@ class _ServiceTimeline:
             i += 1
         return completion
 
-    def backlog(self, now: int) -> int:
-        """Queued service cycles a job arriving at ``now`` would wait."""
-        idx = bisect_right(self._times, now)
-        if not idx:
-            return 0
-        return max(0, self._frontier[idx - 1] - now)
-
 
 class Channel:
     """One memory channel (device partition) or the aggregate CXL link."""
@@ -168,10 +161,6 @@ class Channel:
                 1, math.ceil(nbytes / self.bytes_per_cycle)
             )
         return busy
-
-    def queue_delay(self, now: int) -> float:
-        """Backlog (cycles of queued work) a bulk request arriving now sees."""
-        return float(self._all_work.backlog(now))
 
     def book(
         self,

@@ -18,13 +18,12 @@ exposes it as :attr:`MemoryFabric.shard`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from ..address import ShardMap, TenantMap
 from ..config import SystemConfig
 from ..crypto.keys import KeySet
-from ..errors import SimulationError
+from ..errors import AddressError, SimulationError
 from ..memsys.channel import Channel, CryptoEngine, LinkPair
 from ..memsys.interleave import Interleaver
 from ..metadata.bmt import BMTGeometry
@@ -36,9 +35,11 @@ BMT_NODE_BYTES = 64
 METADATA_UNIT_BYTES = 32
 
 
-@dataclass(frozen=True)
-class SectorLoc:
-    """Full coordinates of one data sector in both address spaces."""
+class SectorLoc(NamedTuple):
+    """Full coordinates of one data sector in both address spaces.
+
+    Immutable; :meth:`MemoryFabric.locate` is its only constructor.
+    """
 
     cxl_addr: int          # byte address in the CXL (home) space
     page: int              # CXL page number
@@ -355,32 +356,32 @@ class MemoryFabric:
 
     # -- coordinates ---------------------------------------------------------
     def locate(self, cxl_addr: int, frame: int) -> SectorLoc:
-        key = cxl_addr * self.num_frames + frame
+        """Coordinates of the sector at ``cxl_addr`` while its page sits in
+        device ``frame``; memoized, so a repeat call returns the same
+        object."""
+        num_frames = self.num_frames
+        if not 0 <= frame < num_frames:
+            # Also keeps the packed memo key below collision-free.
+            raise AddressError(
+                f"frame {frame} outside device memory of {num_frames} frames"
+            )
+        key = cxl_addr * num_frames + frame
         loc = self._loc_cache.get(key)
         if loc is not None:
             return loc
         geom = self.geometry
-        page = geom.page_of(cxl_addr)
-        sector_in_page = geom.sector_in_page(cxl_addr)
-        chunk_in_page = geom.chunk_in_page(cxl_addr)
-        sector_in_chunk = geom.sector_in_chunk(cxl_addr)
+        geom._check_addr(cxl_addr)
+        page, offset = divmod(cxl_addr, geom.page_bytes)
+        sector_in_page = offset // geom.sector_bytes
+        chunk_in_page, sector_in_chunk = divmod(sector_in_page, geom.sectors_per_chunk)
         channel, local_chunk = self.chunk_location(page, frame, chunk_in_page)
         local_sector = local_chunk * geom.sectors_per_chunk + sector_in_chunk
         device_chunk = frame * geom.chunks_per_page + chunk_in_page
-        loc = SectorLoc(
-            cxl_addr=cxl_addr,
-            page=page,
-            sector_in_page=sector_in_page,
-            chunk_in_page=chunk_in_page,
-            sector_in_chunk=sector_in_chunk,
-            frame=frame,
-            channel=channel,
-            local_sector=local_sector,
-            local_chunk=local_chunk,
-            device_chunk=device_chunk,
-            home_device=self.home_of_page(page),
+        loc = self._loc_cache[key] = SectorLoc(
+            cxl_addr, page, sector_in_page, chunk_in_page, sector_in_chunk,
+            frame, channel, local_sector, local_chunk, device_chunk,
+            self.home_of_page(page),
         )
-        self._loc_cache[key] = loc
         return loc
 
     # -- raw bookings ----------------------------------------------------------

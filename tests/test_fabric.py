@@ -1,8 +1,10 @@
 """Unit tests for the shared memory fabric (repro.security.fabric)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import SystemConfig
+from repro.errors import AddressError
 from repro.metadata.bmt import BMTGeometry
 from repro.security.fabric import MemoryFabric
 from repro.sim.stats import Side, StatRegistry, TrafficCategory
@@ -11,6 +13,15 @@ from repro.sim.stats import Side, StatRegistry, TrafficCategory
 def make_fabric(footprint_pages=64, **config_overrides):
     config = SystemConfig.small(**config_overrides)
     return MemoryFabric(config, footprint_pages, StatRegistry())
+
+
+#: One fabric per address-mapping shape locate() serves: the classic single
+#: owner, a 2-device sharded CXL space, and 2 tenants on private channel runs.
+LOCATE_FABRICS = {
+    "1-tenant-1-device": SystemConfig.small(),
+    "2-devices": SystemConfig.small().with_cxl_devices(2),
+    "2-tenants": SystemConfig.small().with_tenants(2),
+}
 
 
 class TestConstruction:
@@ -53,6 +64,53 @@ class TestLocate:
         l1 = fabric.locate(0, frame=0)
         l2 = fabric.locate(0, frame=1)
         assert (l1.channel, l1.local_chunk) != (l2.channel, l2.local_chunk)
+
+    def test_out_of_range_frame_rejected(self):
+        fabric = make_fabric()
+        assert fabric.num_frames == 22
+        fabric.locate(32, frame=0)
+        # 704 == 32 * 22: the packed memo key of (32, frame 0).
+        for frame in (704, fabric.num_frames, 25, -1):
+            with pytest.raises(AddressError, match=f"frame {frame} outside"):
+                fabric.locate(0, frame)
+
+    def test_negative_address_rejected(self):
+        fabric = make_fabric()
+        with pytest.raises(AddressError, match="negative address"):
+            fabric.locate(-32, frame=0)
+
+    def test_sector_loc_immutable(self):
+        loc = make_fabric().locate(0, frame=0)
+        with pytest.raises(AttributeError):
+            loc.channel = 1
+
+    @pytest.mark.parametrize("shape", sorted(LOCATE_FABRICS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_arithmetic(self, shape, data):
+        fabric = MemoryFabric(LOCATE_FABRICS[shape], 64, StatRegistry())
+        geom = fabric.geometry
+        addr = data.draw(st.integers(0, 64 * geom.page_bytes - 1), label="addr")
+        frame = data.draw(st.integers(0, fabric.num_frames - 1), label="frame")
+        loc = fabric.locate(addr, frame)
+        page = geom.page_of(addr)
+        chunk_in_page = geom.chunk_in_page(addr)
+        sector_in_chunk = geom.sector_in_chunk(addr)
+        channel, local_chunk = fabric.chunk_location(page, frame, chunk_in_page)
+        assert loc._asdict() == {
+            "cxl_addr": addr,
+            "page": page,
+            "sector_in_page": geom.sector_in_page(addr),
+            "chunk_in_page": chunk_in_page,
+            "sector_in_chunk": sector_in_chunk,
+            "frame": frame,
+            "channel": channel,
+            "local_sector": local_chunk * geom.sectors_per_chunk + sector_in_chunk,
+            "local_chunk": local_chunk,
+            "device_chunk": frame * geom.chunks_per_page + chunk_in_page,
+            "home_device": fabric.home_of_page(page),
+        }
+        assert fabric.locate(addr, frame) is loc
 
 
 class TestMetadataAccess:
